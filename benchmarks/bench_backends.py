@@ -435,12 +435,13 @@ def run_smoke(mode: str = "quick", repeats: int = 3) -> dict:
 
 def run_query_smoke(mode: str = "quick", repeats: int = 3) -> dict:
     """Time the serving hot path: flat batch queries vs the legacy
-    per-vertex loop, plus persisted-index load vs recomputing.
+    per-vertex loop, plus persisted-index save and load vs recomputing.
 
     The flat answers must equal the legacy answers for every queried
     vertex (each community compared as a sorted cell list); the legacy
     reference is timed once (it is the slow side by orders of magnitude)
-    and the flat/batch and load paths best-of ``repeats``.
+    and the flat/batch and load paths best-of ``repeats``.  The save is
+    timed once: it computes the per-node statistics, which it then caches.
     """
     import tempfile
     from pathlib import Path as _Path
@@ -499,6 +500,7 @@ def run_query_smoke(mode: str = "quick", repeats: int = 3) -> dict:
             "save_seconds": round(save_seconds, 6),
             "load_seconds": round(load_seconds, 6),
             "load_vs_recompute": round(load_seconds / decompose_seconds, 4),
+            "save_vs_decompose": round(save_seconds / decompose_seconds, 4),
         }
     # every workload above proved flat-vs-legacy answer parity
     results["parity"] = "ok"
@@ -1085,7 +1087,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"flat {row['flat_seconds'] * 1000:.1f}ms  "
                   f"speedup {row['batch_speedup']:.0f}x  "
                   f"load {row['load_seconds'] * 1000:.1f}ms "
-                  f"({row['load_vs_recompute']:.3f}x recompute)")
+                  f"({row['load_vs_recompute']:.3f}x recompute)  "
+                  f"save {row['save_seconds'] * 1000:.1f}ms "
+                  f"({row['save_vs_decompose']:.3f}x decompose)")
         variants = run_variant_smoke(mode, repeats=args.repeats)
         results["variants"] = variants
         print("scenario variants (object reference vs generic kernel, "

@@ -19,8 +19,10 @@ The fresh run also records the query-latency section
 (``bench_backends.run_query_smoke``): when the baseline carries one, the
 flat-index batch speedup over the legacy per-vertex loop must stay at or
 above ``--min-query-speedup`` (default 10x; ratios are dimensionless so no
-rescale applies), and loading the persisted ``.npz`` index may cost at most
-``--max-load-ratio`` (default 1x) of recomputing the decomposition.
+rescale applies), loading the persisted ``.npz`` index may cost at most
+``--max-load-ratio`` (default 1x) of recomputing the decomposition, and
+saving it (which computes the per-node statistics) at most
+``--max-save-ratio`` (default 0.3x) of the decomposition.
 
 The fresh run also records the serving section
 (``bench_backends.run_serving_smoke``): a real ``repro-nucleus serve``
@@ -108,9 +110,10 @@ _SCALE_BAND = (0.2, 5.0)
 _ROW_KEYS = ("csr_seconds", "object_seconds", "speedup")
 
 #: per-workload fields of the query-latency section; all must exist in a
-#: fresh run (the two ratio fields are the gated ones)
+#: fresh run (the three ratio fields are the gated ones)
 _QUERY_ROW_KEYS = ("legacy_seconds", "flat_seconds", "batch_speedup",
-                   "load_seconds", "decompose_seconds", "load_vs_recompute")
+                   "load_seconds", "decompose_seconds", "load_vs_recompute",
+                   "save_seconds", "save_vs_decompose")
 
 #: per-workload fields of the serving section; all must exist in a fresh
 #: run (the speedup is the gated one)
@@ -181,15 +184,17 @@ def check(fresh: dict, baseline: dict, threshold: float,
 
 
 def check_queries(fresh: dict, baseline: dict, min_batch_speedup: float,
-                  max_load_ratio: float) -> list[str]:
+                  max_load_ratio: float, max_save_ratio: float) -> list[str]:
     """Failure messages for the query-latency gate (empty = pass).
 
     The gated quantities are dimensionless, so no calibration rescale:
     the flat batch path must answer the recorded vertex→community
     workload at least ``min_batch_speedup ×`` faster than the per-vertex
-    legacy loop, and loading the persisted index must cost at most
-    ``max_load_ratio ×`` a fresh decomposition.  Answer parity is
-    asserted inside the smoke run itself.
+    legacy loop, loading the persisted index must cost at most
+    ``max_load_ratio ×`` a fresh decomposition, and saving it at most
+    ``max_save_ratio ×`` — per-node statistics computed node by node
+    (O(nodes × m)) cost several times that.  Answer parity is asserted
+    inside the smoke run itself.
     """
     base = baseline.get("queries")
     if base is None:
@@ -230,6 +235,12 @@ def check_queries(fresh: dict, baseline: dict, min_batch_speedup: float,
                 f"{row['load_vs_recompute']:.2f}x a fresh decomposition "
                 f"(gate: {max_load_ratio}x; baseline recorded "
                 f"{base_row['load_vs_recompute']:.2f}x)")
+        if row["save_vs_decompose"] > max_save_ratio:
+            failures.append(
+                f"queries/{name}: saving the index (with its per-node "
+                f"statistics) took {row['save_vs_decompose']:.2f}x a fresh "
+                f"decomposition (gate: {max_save_ratio}x; baseline "
+                f"recorded {base_row.get('save_vs_decompose', 0.0):.2f}x)")
     return failures
 
 
@@ -522,6 +533,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-load-ratio", type=float, default=1.0,
                         help="max allowed persisted-index load time as a "
                              "fraction of a fresh decomposition (default 1)")
+    parser.add_argument("--max-save-ratio", type=float, default=0.3,
+                        help="max allowed index save time (per-node "
+                             "statistics included) as a fraction of a "
+                             "fresh decomposition (default 0.3)")
     parser.add_argument("--min-coalesce-speedup", type=float, default=2.0,
                         help="min required coalesced-over-uncoalesced "
                              "serving throughput (default 2)")
@@ -589,7 +604,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"query/{name:10s} legacy {row['legacy_seconds']:.3f}s  "
               f"flat {row['flat_seconds'] * 1000:.1f}ms  "
               f"speedup {row['batch_speedup']:.0f}x  "
-              f"load/recompute {row['load_vs_recompute']:.3f}")
+              f"load/recompute {row['load_vs_recompute']:.3f}  "
+              f"save/decompose {row['save_vs_decompose']:.3f}")
     fresh["variants"] = run_variant_smoke("quick", repeats=args.repeats)
     for name, row in fresh["variants"]["workloads"].items():
         print(f"variant/{name:14s} object {row['object_seconds']:.3f}s  "
@@ -632,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = check(fresh, baseline, args.threshold, args.min_speedup)
     failures += check_queries(fresh, baseline, args.min_query_speedup,
-                              args.max_load_ratio)
+                              args.max_load_ratio, args.max_save_ratio)
     failures += check_serving(fresh, baseline, args.min_coalesce_speedup)
     failures += check_variants(fresh, baseline, args.min_variant_speedup)
     failures += check_disk(fresh, baseline, args.threshold)

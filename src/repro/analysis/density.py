@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decomposition import Decomposition
+from repro.core.hierarchy import Hierarchy
 from repro.graph.adjacency import Graph
 
 __all__ = ["edge_density", "average_degree", "NucleusReport", "densest_nuclei"]
@@ -49,22 +50,45 @@ def densest_nuclei(decomposition: Decomposition, min_vertices: int = 4,
     """The densest nuclei in a hierarchy, largest density first.
 
     Only nuclei with at least ``min_vertices`` vertices are reported (tiny
-    cliques are trivially dense and uninteresting).
+    cliques are trivially dense and uninteresting).  Sizes, edge counts
+    and densities come from the flat index's one-pass node statistics;
+    without numpy, from one induced subgraph per condensed node.
     """
     hierarchy = decomposition.hierarchy
     if hierarchy is None:
         raise ValueError(f"{decomposition.algorithm} produced no hierarchy")
+    from repro import flatindex
+
+    if flatindex.np is None:
+        reports = _per_node_reports(decomposition, hierarchy, min_vertices)
+    else:
+        index = flatindex.FlatHierarchyIndex(decomposition)
+        nv, ne, density = index.precompute_stats()
+        reports = [
+            NucleusReport(node_id=node, k=int(index.node_k[node]),
+                          num_vertices=int(nv[node]),
+                          num_edges=int(ne[node]),
+                          density=float(density[node]))
+            for node in range(index.num_nodes)
+            if node != index.root and nv[node] >= min_vertices]
+    reports.sort(key=lambda rep: (-rep.density, -rep.num_vertices))
+    return reports[:limit]
+
+
+def _per_node_reports(decomposition: Decomposition, hierarchy: Hierarchy,
+                      min_vertices: int) -> list[NucleusReport]:
+    """The pure-Python path: materialise each nucleus's subgraph."""
     tree = hierarchy.condense()
     reports: list[NucleusReport] = []
     for node in tree.nodes:
         if node.id == tree.root:
             continue
-        vertices = decomposition.view.vertices_of_cells(tree.subtree_cells(node.id))
+        vertices = decomposition.view.vertices_of_cells(
+            tree.subtree_cells(node.id))
         if len(vertices) < min_vertices:
             continue
         sub = decomposition.graph.subgraph(vertices)
         reports.append(NucleusReport(
             node_id=node.id, k=node.k, num_vertices=sub.n, num_edges=sub.m,
             density=edge_density(sub)))
-    reports.sort(key=lambda rep: (-rep.density, -rep.num_vertices))
-    return reports[:limit]
+    return reports

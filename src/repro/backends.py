@@ -41,6 +41,7 @@ environment variable.
 from __future__ import annotations
 
 import time
+import warnings
 from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.csr_fnd import CSR_FND_RS, csr_fnd_decomposition
@@ -582,12 +583,15 @@ def load_query_index(path: str | Path, *, mmap_mode: str | None = "r",
     the index costs one page-cache copy no matter how many processes
     serve it (what ``repro-nucleus serve`` workers and the CLI ``query``
     subcommand use); ``mmap_mode=None`` copies them into the process.
-    ``graph``/``view`` attach only when profile statistics were skipped
-    at save time (``stats=False``).  See also
+    ``graph`` attaches only when profile statistics were skipped at save
+    time (``stats=False``); ``view`` is deprecated and ignored.  See also
     :class:`repro.serve.IndexRegistry` for serving several indexes from
     one process.
     """
     from repro.flatindex import FlatHierarchyIndex
 
-    return FlatHierarchyIndex.load(path, graph=graph, view=view,
-                                   mmap_mode=mmap_mode)
+    if view is not None:
+        warnings.warn(
+            "load_query_index(view=...) is deprecated and ignored; attach "
+            "only the graph", DeprecationWarning, stacklevel=2)
+    return FlatHierarchyIndex.load(path, graph=graph, mmap_mode=mmap_mode)

@@ -31,12 +31,12 @@ uncompressed ``.npz`` (one flat binary blob per array, loadable lazily), so
 from __future__ import annotations
 
 import struct
+import warnings
 import zipfile
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 from zipfile import BadZipFile
 
-from repro.analysis.density import edge_density
 from repro.core.decomposition import Decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.errors import GraphFormatError, InvalidParameterError
@@ -150,6 +150,176 @@ def _multi_range(starts: Any, counts: Any) -> Any:
     return np.repeat(starts - before, counts) + np.arange(total, dtype=np.int64)
 
 
+#: edges per block, and node entries per sub-block, of the induced-edge
+#: pass; together they bound its scratch memory
+_BLOCK = 1 << 16
+
+
+class _TourLCA:
+    """O(1) lowest common ancestors of preorder positions.
+
+    For positions ``p < q`` the shallowest node in the preorder window
+    ``(p, q]`` is a child of ``lca(p, q)``, so a sparse table of
+    range-minimum-depth positions answers every query with two lookups.
+    """
+
+    def __init__(self, node_parent: Any, tin: Any, tout: Any) -> None:
+        num_nodes = len(tin)
+        tin = np.asarray(tin, dtype=np.int64)
+        pre = np.empty(num_nodes, dtype=np.int64)
+        pre[tin] = np.arange(num_nodes, dtype=np.int64)
+        parent = np.asarray(node_parent, dtype=np.int64)[pre]
+        self.up = np.where(parent >= 0, tin[np.maximum(parent, 0)], 0)
+        #: one past the last preorder position of each position's subtree
+        self.end = np.asarray(tout, dtype=np.int64)[pre]
+        # depth = positions opened so far minus subtrees already closed
+        closed = np.bincount(self.end, minlength=num_nodes + 1)[:num_nodes]
+        depth = np.arange(num_nodes, dtype=np.int64) - np.cumsum(closed)
+        self.depth = depth
+        levels = max(1, (num_nodes - 1).bit_length())
+        table = np.empty((levels, num_nodes), dtype=np.int64)
+        table[0] = np.arange(num_nodes, dtype=np.int64)
+        for level in range(1, levels):
+            half = 1 << (level - 1)
+            prev = table[level - 1]
+            left, right = prev[:num_nodes - half], prev[half:]
+            table[level, :num_nodes - half] = np.where(
+                depth[right] < depth[left], right, left)
+            table[level, num_nodes - half:] = prev[num_nodes - half:]
+        self.table = table
+
+    def __call__(self, p: Any, q: Any) -> Any:
+        """Preorder position of ``lca(p[i], q[i])`` for every i."""
+        lo = np.minimum(p, q)
+        hi = np.maximum(p, q)
+        span = np.maximum(hi - lo, 1)
+        level = np.frexp(span.astype(np.float64))[1].astype(np.int64) - 1
+        first = self.table[level, np.minimum(lo + 1, len(self.up) - 1)]
+        last = self.table[level, hi - (np.int64(1) << level) + 1]
+        depth = self.depth
+        shallow = np.where(depth[last] < depth[first], last, first)
+        return np.where(lo == hi, lo, self.up[shallow])
+
+
+def _edge_mass(lca: _TourLCA, keys: Any, pos: Any, start: Any, size: Any,
+               big: Any, small: Any) -> tuple:
+    """(+1, -1) preorder positions of the edges ``(big[i], small[i])``,
+    each T(small) inserted into the larger T(big) (see
+    :func:`_node_statistics`)."""
+    num_nodes = len(lca.up)
+    count = size[small]
+    edge = np.repeat(np.arange(len(small), dtype=np.int64), count)
+    at = _multi_range(start[small], count)
+    x = pos[at]
+    first_j = at == np.repeat(start[small], count)
+    last_j = at == np.repeat(start[small] + count - 1, count)
+    a_start = start[big][edge]
+    a_size = size[big][edge]
+    # gap of T(big) that x falls into: ``gap`` members of T(big) precede it
+    gap = np.searchsorted(keys, big[edge] * num_nodes + x) - a_start
+    # x opens (closes) a run when no T(small) member shares its gap before
+    # (after) it
+    first = first_j.copy()
+    first[1:] |= gap[1:] != gap[:-1]
+    last = last_j.copy()
+    last[:-1] |= gap[:-1] != gap[1:]
+    has_pred = first & (gap > 0)
+    has_succ = last & (gap < a_size)
+    split = first & (gap > 0) & (gap < a_size)
+    across = first & ~first_j
+    pred = pos[a_start + gap - 1]
+    succ = pos[np.minimum(a_start + gap, len(pos) - 1)]
+    plus = np.concatenate((lca(pred[has_pred], x[has_pred]),
+                           lca(x[has_succ], succ[has_succ])))
+    minus = np.concatenate((lca(pred[split], succ[split]),
+                            lca(pos[at[across] - 1], x[across])))
+    return plus, minus
+
+
+def _node_statistics(node_parent: Any, tin: Any, tout: Any,
+                     vert_indptr: Any, vert_nodes: Any,
+                     src: Any, tgt: Any) -> tuple:
+    """``(nv, ne, density)`` of every condensed node's induced subgraph.
+
+    Let T(v) be the nodes whose own cells touch vertex v.  Vertex v lies
+    in node a exactly when a is an ancestor-or-self of some node of T(v),
+    so ``nv[a]`` counts the sets T(v) whose ancestor closure contains a.
+    Over a set sorted by preorder, "+1 at every member, -1 at the LCA of
+    every consecutive pair" puts exactly one unit into the subtree of each
+    node of the closure, so prefix sums over ``[tin, tout)`` count it.
+    Each T(v) is first pruned to its deepest nodes (same closure, fewer
+    pairs).
+
+    Edge (u, w) lies in a exactly when a is in the closures of both T(u)
+    and T(w); by inclusion-exclusion that is closure(T(u)) + closure(T(w))
+    - closure(T(u) + T(w)).  In unit masses the members cancel, and so do
+    the consecutive pairs the merged order keeps.  Inserting the smaller
+    set B into the larger A, what is left per run of B members x1..xk
+    that falls between the consecutive members p, q of A is +lca(p, x1)
+    + lca(xk, q) - lca(p, q) (dropping the terms with no p or no q),
+    and -lca(y, x1) where y is the B member before x1 in another run.
+    An edge whose endpoints have one node each reduces to the LCA of the
+    two, taken directly.  Cost: O(n log N) for the vertex sets plus
+    O(sum over edges of min(|T(u)|, |T(w)|) log N) for the edges, N
+    nodes; edges run in blocks of at most :data:`_BLOCK` edges and about
+    as many inserted set members, so the scratch memory stays bounded.
+    The density is the float :func:`~repro.analysis.density.edge_density`
+    computes from the same counts.
+    """
+    num_nodes = len(tin)
+    num_vertices = len(vert_indptr) - 1
+    lca = _TourLCA(node_parent, tin, tout)
+    # T(v) as sorted (vertex, preorder position) keys, pruned to the
+    # deepest nodes: drop x when the next node of T(v) is inside x
+    tin64 = np.asarray(tin, dtype=np.int64)
+    owner = np.repeat(np.arange(num_vertices, dtype=np.int64),
+                      np.diff(vert_indptr))
+    keys = np.sort(owner * num_nodes
+                   + tin64[np.asarray(vert_nodes, dtype=np.int64)])
+    owner = keys // num_nodes
+    pos = keys - owner * num_nodes
+    deeper = (owner[1:] == owner[:-1]) & (pos[1:] < lca.end[pos[:-1]])
+    keep = np.ones(len(pos), dtype=bool)
+    keep[:-1] = ~deeper
+    keys, owner, pos = keys[keep], owner[keep], pos[keep]
+    size = np.bincount(owner, minlength=num_vertices)
+    start = np.concatenate(([0], np.cumsum(size)[:-1]))
+    chained = np.nonzero(owner[1:] == owner[:-1])[0]
+    # unit masses at preorder positions
+    nv_mass = np.bincount(pos, minlength=num_nodes) - np.bincount(
+        lca(pos[chained], pos[chained + 1]), minlength=num_nodes)
+    ne_mass = np.zeros(num_nodes, dtype=np.int64)
+    for lo in range(0, len(src), _BLOCK):
+        u = np.asarray(src[lo:lo + _BLOCK], dtype=np.int64)
+        w = np.asarray(tgt[lo:lo + _BLOCK], dtype=np.int64)
+        size_u, size_w = size[u], size[w]
+        single = (size_u == 1) & (size_w == 1)
+        ne_mass += np.bincount(lca(pos[start[u[single]]],
+                                   pos[start[w[single]]]),
+                               minlength=num_nodes)
+        multi = ~single & (size_u > 0) & (size_w > 0)
+        swap = (size_w > size_u)[multi]
+        u, w = u[multi], w[multi]
+        big, small = np.where(swap, w, u), np.where(swap, u, w)
+        # sub-blocks of about _BLOCK members of the smaller sets
+        offset = np.cumsum(size[small]) - size[small]
+        cuts = np.flatnonzero(np.diff(offset // _BLOCK)) + 1
+        for part in np.split(np.arange(len(small)), cuts):
+            plus, minus = _edge_mass(lca, keys, pos, start, size,
+                                     big[part], small[part])
+            ne_mass += np.bincount(plus, minlength=num_nodes)
+            ne_mass -= np.bincount(minus, minlength=num_nodes)
+    tout64 = np.asarray(tout, dtype=np.int64)
+    nv_prefix = np.concatenate(([0], np.cumsum(nv_mass)))
+    ne_prefix = np.concatenate(([0], np.cumsum(ne_mass)))
+    nv = nv_prefix[tout64] - nv_prefix[tin64]
+    ne = ne_prefix[tout64] - ne_prefix[tin64]
+    density = np.zeros(num_nodes, dtype=np.float64)
+    dense = nv >= 2
+    density[dense] = 2.0 * ne[dense] / (nv[dense] * (nv[dense] - 1))
+    return nv, ne, density
+
+
 class FlatHierarchyIndex:
     """Array-backed query index over a decomposition's condensed tree.
 
@@ -187,7 +357,6 @@ class FlatHierarchyIndex:
         self.s = hierarchy.s
         self.algorithm = algorithm
         self.graph = graph
-        self.view = view
         self.n = graph.n
         tree = hierarchy.condense()
         self.root = tree.root
@@ -201,11 +370,9 @@ class FlatHierarchyIndex:
         self.cell_node = np.asarray(tree.cell_nodes(), dtype=np.int32)
         self.lam = np.asarray(hierarchy.lam, dtype=np.int32)
         self._sort_cells_by_tour()
-        self._build_vertex_map()
+        self._build_vertex_map(view)
         self._tops_cache: dict[int, "np.ndarray"] = {}
-        self._stats: dict[int, tuple[int, int, float]] = {}
         self._stat_arrays: tuple | None = None
-        self._edge_arrays: tuple | None = None
         self.mmapped = False
 
     # ------------------------------------------------------------------
@@ -237,7 +404,7 @@ class FlatHierarchyIndex:
         self.cells_in_tour = order.astype(np.int32)
         self.cell_tin_sorted = cell_tin[order]
 
-    def _build_vertex_map(self) -> None:
+    def _build_vertex_map(self, view: Any) -> None:
         """CSR ``vertex → sorted unique condensed nodes`` map."""
         num_cells = len(self.cell_node)
         r = self.r
@@ -246,7 +413,7 @@ class FlatHierarchyIndex:
         elif r == 1:
             verts = np.arange(num_cells, dtype=np.int64)
         else:
-            triples = getattr(self.view, "_vertices", None)
+            triples = getattr(view, "_vertices", None)
             if triples is not None:  # (3,4) views keep the triple list
                 verts = np.asarray(triples, dtype=np.int64).reshape(-1)
             elif r == 2 and hasattr(self.graph, "esrc"):
@@ -256,11 +423,9 @@ class FlatHierarchyIndex:
                 ]).astype(np.int64).reshape(-1)
             else:
                 verts = np.empty(num_cells * r, dtype=np.int64)
-                cell_vertices = self.view.cell_vertices
+                cell_vertices = view.cell_vertices
                 for cell in range(num_cells):
                     verts[cell * r:(cell + 1) * r] = cell_vertices(cell)
-        # kept build-side (not persisted): powers the vectorised node stats
-        self._cell_verts = verts.reshape(num_cells, r) if num_cells else None
         nodes = np.repeat(self.cell_node.astype(np.int64), r)
         num_nodes = len(self.node_k)
         pairs = np.unique(verts * num_nodes + nodes)
@@ -426,8 +591,8 @@ class FlatHierarchyIndex:
     def profile_batch(self, vertices: Any) -> list[list[CommunityLevel]]:
         """:meth:`profile` for an array of vertices.
 
-        Node statistics (size, edges, density) are computed once per
-        condensed node and cached — persisted indexes saved with
+        Node statistics (size, edges, density) are computed for every
+        node at once on first use — persisted indexes saved with
         ``stats=True`` serve profiles without any graph at all.
         """
         vertices = self._as_vertex_array(vertices)
@@ -463,70 +628,36 @@ class FlatHierarchyIndex:
     # ------------------------------------------------------------------
     def _edge_endpoint_arrays(self) -> tuple:
         """Endpoint arrays of every graph edge (for induced-edge counts)."""
-        arrays = self._edge_arrays
-        if arrays is None:
-            graph = self.graph
-            if hasattr(graph, "esrc"):  # CSR: already flat
-                src = np.frombuffer(graph.esrc, dtype=np.int32)
-                tgt = np.frombuffer(graph.etgt, dtype=np.int32)
-            else:
-                index = graph.edge_index
-                src = np.asarray(index.source, dtype=np.int64)
-                tgt = np.asarray(index.target, dtype=np.int64)
-            arrays = (src, tgt)
-            self._edge_arrays = arrays
-        return arrays
+        graph = self.graph
+        if hasattr(graph, "esrc"):  # CSR: already flat
+            return (np.frombuffer(graph.esrc, dtype=np.int32),
+                    np.frombuffer(graph.etgt, dtype=np.int32))
+        index = graph.edge_index
+        return (np.asarray(index.source, dtype=np.int64),
+                np.asarray(index.target, dtype=np.int64))
 
     def _node_stats(self, node: int) -> tuple[int, int, float]:
-        """(num_vertices, num_edges, density) of a node's induced subgraph.
+        """(num_vertices, num_edges, density) of a node's induced subgraph
+        — the counts ``graph.subgraph`` +
+        :func:`~repro.analysis.density.edge_density` give."""
+        nv, ne, density = self.precompute_stats()
+        return int(nv[node]), int(ne[node]), float(density[node])
 
-        Counts by array masking when built from a decomposition — the
-        exact counts (and therefore the exact density float) that
-        ``graph.subgraph`` + :func:`edge_density` produce, without
-        materialising a subgraph per node.
-        """
-        if self._stat_arrays is not None:
-            nv, ne, density = self._stat_arrays
-            return int(nv[node]), int(ne[node]), float(density[node])
-        cached = self._stats.get(node)
-        if cached is None:
+    def precompute_stats(self) -> tuple:
+        """The ``(nv, ne, density)`` arrays over every node (what
+        :meth:`save` persists with ``stats=True``), from the graph in one
+        vectorised pass the first time."""
+        if self._stat_arrays is None:
             if self.graph is None:
                 raise InvalidParameterError(
                     "this persisted index was saved without node statistics "
-                    "(stats=False); re-save with stats=True or rebuild from "
-                    "a decomposition to answer profile queries")
-            if getattr(self, "_cell_verts", None) is not None:
-                vertices = np.unique(
-                    self._cell_verts[self.community_cells(node)])
-                nv = len(vertices)
-                mask = np.zeros(self.n, dtype=bool)
-                mask[vertices] = True
-                src, tgt = self._edge_endpoint_arrays()
-                ne = int(np.count_nonzero(mask[src] & mask[tgt]))
-                density = 0.0 if nv < 2 else 2.0 * ne / (nv * (nv - 1))
-                cached = (nv, ne, density)
-            else:
-                if self.view is None:
-                    from repro.core.views import build_view
-
-                    self.view = build_view(self.graph, self.r, self.s)
-                sub = self.graph.subgraph(self.view.vertices_of_cells(
-                    self.community_cells(node).tolist()))
-                cached = (sub.n, sub.m, edge_density(sub))
-            self._stats[node] = cached
-        return cached
-
-    def precompute_stats(self) -> None:
-        """Materialise size/edge/density arrays for every node (the arrays
-        :meth:`save` persists with ``stats=True``)."""
-        if self._stat_arrays is not None:
-            return
-        nv = np.zeros(self.num_nodes, dtype=np.int64)
-        ne = np.zeros(self.num_nodes, dtype=np.int64)
-        density = np.zeros(self.num_nodes, dtype=np.float64)
-        for node in range(self.num_nodes):
-            nv[node], ne[node], density[node] = self._node_stats(node)
-        self._stat_arrays = (nv, ne, density)
+                    "(stats=False); re-save with stats=True or load it with "
+                    "its graph attached to answer profile queries")
+            self._stat_arrays = _node_statistics(
+                self.node_parent, self.tin, self.tout,
+                self.vert_indptr, self.vert_nodes,
+                *self._edge_endpoint_arrays())
+        return self._stat_arrays
 
     # ------------------------------------------------------------------
     # persistence
@@ -558,9 +689,7 @@ class FlatHierarchyIndex:
             "vert_nodes": self.vert_nodes,
         }
         if stats:
-            self.precompute_stats()
-            assert self._stat_arrays is not None  # precompute_stats filled it
-            nv, ne, density = self._stat_arrays
+            nv, ne, density = self.precompute_stats()
             payload.update(node_nv=nv, node_ne=ne, node_density=density)
         with open(path, "wb") as handle:  # savez would append ".npz"
             np.savez(handle, **payload)
@@ -570,9 +699,10 @@ class FlatHierarchyIndex:
              mmap_mode: str | None = None) -> "FlatHierarchyIndex":
         """Rebuild a persisted index; pure array reads, no re-peeling.
 
-        ``graph``/``view`` are optional — attach them only to compute
-        profile statistics missing from an index saved with
-        ``stats=False``.
+        ``graph`` is optional — attach it only to compute profile
+        statistics missing from an index saved with ``stats=False``.
+        ``view`` is deprecated and ignored: the statistics need only the
+        graph's edges and the persisted vertex map.
 
         ``mmap_mode="r"`` memory-maps the arrays read-only instead of
         copying them into the process (:func:`mmap_npz` — ``np.load``
@@ -583,6 +713,10 @@ class FlatHierarchyIndex:
         default) loads eagerly.
         """
         _require_numpy()
+        if view is not None:
+            warnings.warn(
+                "FlatHierarchyIndex.load(view=...) is deprecated and ignored; "
+                "attach only the graph", DeprecationWarning, stacklevel=2)
         if mmap_mode not in (None, "r"):
             raise InvalidParameterError(
                 f"mmap_mode must be None or 'r', got {mmap_mode!r} "
@@ -621,11 +755,7 @@ class FlatHierarchyIndex:
             index._stat_arrays = tuple(arrays[key] for key in _STAT_KEYS)
         index.mmapped = mapped
         index.graph = graph
-        index.view = view  # else built lazily if profile stats need it
         index._tops_cache = {}
-        index._stats = {}
-        index._cell_verts = None
-        index._edge_arrays = None
         return index
 
     def __repr__(self) -> str:

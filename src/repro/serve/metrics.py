@@ -71,6 +71,8 @@ class ServerMetrics:
         self.max_batch = 0
         self.batch_failures = 0
         self.last_batch_error = ""
+        #: HTTP requests refused before routing (bad request line/headers)
+        self.http_rejected = 0
         self._routes: dict[str, RouteStats] = {}
 
     def route(self, name: str) -> RouteStats:
@@ -111,6 +113,7 @@ class ServerMetrics:
                 "failures": self.batch_failures,
                 "last_error": self.last_batch_error,
             },
+            "http_rejected": self.http_rejected,
             "routes": {name: stats.snapshot()
                        for name, stats in self._routes.items()},
         }

@@ -312,6 +312,7 @@ class NucleusServer:
         while request_line:
             parts = request_line.decode("latin-1").split()
             if len(parts) != 3:
+                self.metrics.http_rejected += 1
                 await self._http_reply(writer, 400, protocol.error_envelope(
                     None, "malformed request line"), close=True)
                 return
@@ -324,7 +325,14 @@ class NucleusServer:
                 key, _, value = line.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
             body = b""
-            length = int(headers.get("content-length", 0) or 0)
+            length_header = headers.get("content-length") or "0"
+            if not (length_header.isascii() and length_header.isdigit()):
+                self.metrics.http_rejected += 1
+                await self._http_reply(writer, 400, protocol.error_envelope(
+                    None, f"invalid Content-Length {length_header!r}"),
+                    close=True)
+                return
+            length = int(length_header)
             if length:
                 body = await reader.readexactly(length)
             keep_alive = (version == "HTTP/1.1"

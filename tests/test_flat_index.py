@@ -11,13 +11,16 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.backends import as_backend, build_query_index, decompose
+from repro.analysis.density import NucleusReport, densest_nuclei, edge_density
+from repro.backends import (
+    as_backend, build_query_index, decompose, load_query_index)
 from repro.core.decomposition import nucleus_decomposition
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.examples_graphs import bowtie, figure2_graph
 from repro.export import load_hierarchy_npz, save_hierarchy_npz
 from repro.flatindex import FlatHierarchyIndex
 from repro.graph import generators
+from repro.graph.adjacency import Graph
 from repro.queries import HierarchyIndex
 
 RS_PAIRS = [(1, 2), (2, 3), (3, 4)]
@@ -163,6 +166,190 @@ class TestStructure:
         communities = flat.communities_of_vertex(0, 1)
         assert len(communities) == 2
         assert all(len(c) == 3 for c in communities)
+
+
+def _oracle_stats(flat, decomposition):
+    """Per node: the induced subgraph of its cells, materialised."""
+    graph, view = decomposition.graph, decomposition.view
+    out = []
+    for node in range(flat.num_nodes):
+        sub = graph.subgraph(view.vertices_of_cells(
+            flat.community_cells(node).tolist()))
+        out.append((sub.n, sub.m, edge_density(sub)))
+    return out
+
+
+def _kernel_stats(flat):
+    nv, ne, density = flat.precompute_stats()
+    return [(int(a), int(b), float(c))
+            for a, b, c in zip(nv, ne, density)]
+
+
+def _vertex_node_pairs(flat, vertex):
+    """(ancestor-related, unrelated) pair counts among a vertex's nodes."""
+    nodes = flat.nodes_of_vertex(vertex).tolist()
+    related = unrelated = 0
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if flat.is_ancestor(a, b) or flat.is_ancestor(b, a):
+                related += 1
+            else:
+                unrelated += 1
+    return related, unrelated
+
+
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _windmill(blades):
+    """``blades`` triangles sharing only the hub vertex 0."""
+    edges = []
+    for blade in range(blades):
+        a, b = 2 * blade + 1, 2 * blade + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(2 * blades + 1, edges)
+
+
+#: small graphs that reach the corners of the statistics kernel
+EDGE_CASE_GRAPHS = {
+    "empty": Graph(0, []),
+    "single-vertex": Graph(1, []),
+    "edgeless": Graph(4, []),
+    "k4-tail": Graph(7, _K4 + [(3, 4), (4, 5), (5, 6)]),
+    "chain": Graph(5, _K4 + [(0, 4)]),
+    "siblings": bowtie(),
+    "windmill": _windmill(6),
+}
+
+
+class TestNodeStatistics:
+    """The one-pass kernel equals the per-node subgraph, exactly."""
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    def test_matches_subgraph_oracle(self, parity_graph, backend, rs):
+        decomposition = _decompose(parity_graph, backend, *rs)
+        flat = FlatHierarchyIndex(decomposition)
+        assert _kernel_stats(flat) == _oracle_stats(flat, decomposition)
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    @pytest.mark.parametrize("name", sorted(EDGE_CASE_GRAPHS))
+    def test_edge_cases_match_oracle(self, name, backend, rs):
+        decomposition = _decompose(EDGE_CASE_GRAPHS[name], backend, *rs)
+        flat = FlatHierarchyIndex(decomposition)
+        assert _kernel_stats(flat) == _oracle_stats(flat, decomposition)
+
+    def test_edge_cases_reach_every_corner(self):
+        def build(name, rs):
+            return FlatHierarchyIndex(
+                _decompose(EDGE_CASE_GRAPHS[name], "object", *rs))
+
+        assert build("empty", (1, 2)).num_nodes == 1
+        assert build("edgeless", (2, 3)).num_nodes == 1  # a one-node tree
+        assert build("single-vertex", (1, 2)).precompute_stats()[0][0] == 1
+        assert build("edgeless", (2, 3)).precompute_stats()[0][0] == 0
+        tail = build("k4-tail", (3, 4))
+        assert len(tail.nodes_of_vertex(5)) == 0  # in no triangle
+        assert tail.precompute_stats()[0][tail.root] == 4
+        # vertex 0's nodes form one chain (the K4 nucleus inside the
+        # pendant edge's level), so pruning drops the outer one
+        assert _vertex_node_pairs(build("chain", (2, 3)), 0) == (1, 0)
+        # the bowtie centre sits in two sibling nuclei
+        assert _vertex_node_pairs(build("siblings", (2, 3)), 0) == (0, 1)
+        # the windmill hub sits in one sibling nucleus per blade
+        assert _vertex_node_pairs(build("windmill", (2, 3)), 0) == (0, 15)
+
+    def test_hub_in_many_siblings_scales(self):
+        """A hub in thousands of sibling nuclei: each hub edge inserts
+        the leaf's one node into the hub's node list, so the pass stays
+        near-linear instead of growing with blades x edges."""
+        blades = 3000
+        graph = as_backend(_windmill(blades), "csr")
+        flat = FlatHierarchyIndex(decompose(graph, 2, 3, algorithm="fnd",
+                                            backend="csr"))
+        assert len(flat.nodes_of_vertex(0)) == blades
+        nv, ne, density = flat.precompute_stats()
+        assert (int(nv[flat.root]), int(ne[flat.root])) == \
+            (2 * blades + 1, 3 * blades)
+        blade_nodes = flat.nodes_of_vertex(0)
+        assert np.all(nv[blade_nodes] == 3) and np.all(ne[blade_nodes] == 3)
+        assert np.all(density[blade_nodes] == 1.0)
+
+    def test_parity_graph_has_chains_and_siblings(self, parity_graph):
+        flat = FlatHierarchyIndex(_decompose(parity_graph, "csr", 2, 3))
+        pairs = [_vertex_node_pairs(flat, v) for v in range(flat.n)]
+        assert any(related for related, _ in pairs)
+        assert any(unrelated for _, unrelated in pairs)
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    def test_loaded_index_recomputes_identical_arrays(
+            self, parity_graph, rs, mmap_mode, tmp_path):
+        decomposition = _decompose(parity_graph, "csr", *rs)
+        built = FlatHierarchyIndex(decomposition)
+        path = tmp_path / "lean.npz"
+        built.save(path, stats=False)
+        loaded = FlatHierarchyIndex.load(path, graph=decomposition.graph,
+                                         mmap_mode=mmap_mode)
+        for ours, theirs in zip(loaded.precompute_stats(),
+                                built.precompute_stats()):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    def test_load_view_argument_is_deprecated(self, parity_graph,
+                                               tmp_path):
+        decomposition = _decompose(parity_graph, "csr", 2, 3)
+        built = FlatHierarchyIndex(decomposition)
+        path = tmp_path / "lean.npz"
+        built.save(path, stats=False)
+        with pytest.warns(DeprecationWarning, match="view"):
+            loaded = FlatHierarchyIndex.load(path, decomposition.graph,
+                                             decomposition.view)
+        with pytest.warns(DeprecationWarning, match="view"):
+            via_backends = load_query_index(path, graph=decomposition.graph,
+                                            view=decomposition.view)
+        for index in (loaded, via_backends):
+            assert np.array_equal(index.precompute_stats()[1],
+                                  built.precompute_stats()[1])
+
+    @pytest.mark.parametrize("rs", RS_PAIRS, ids=["12", "23", "34"])
+    @pytest.mark.parametrize("backend", ["object", "csr"])
+    def test_densest_nuclei_matches_per_node_loop(self, parity_graph,
+                                                  backend, rs):
+        decomposition = _decompose(parity_graph, backend, *rs)
+        for min_vertices, limit in ((4, 20), (2, 1000), (10, 3)):
+            assert densest_nuclei(decomposition, min_vertices, limit) == \
+                _densest_reference(decomposition, min_vertices, limit)
+
+    def test_densest_nuclei_without_numpy(self, parity_graph, monkeypatch):
+        import repro.flatindex
+
+        decomposition = _decompose(parity_graph, "object", 2, 3)
+        expected = _densest_reference(decomposition, 2, 1000)
+        monkeypatch.setattr(repro.flatindex, "np", None)
+        with pytest.raises(InvalidParameterError):
+            FlatHierarchyIndex(decomposition)  # the index itself needs numpy
+        assert densest_nuclei(decomposition, 2, 1000) == expected
+
+
+def _densest_reference(decomposition, min_vertices, limit):
+    """``densest_nuclei`` as a per-node subgraph loop (the old code)."""
+    tree = decomposition.hierarchy.condense()
+    reports = []
+    for node in tree.nodes:
+        if node.id == tree.root:
+            continue
+        vertices = decomposition.view.vertices_of_cells(
+            tree.subtree_cells(node.id))
+        if len(vertices) < min_vertices:
+            continue
+        sub = decomposition.graph.subgraph(vertices)
+        reports.append(NucleusReport(
+            node_id=node.id, k=node.k, num_vertices=sub.n, num_edges=sub.m,
+            density=edge_density(sub)))
+    reports.sort(key=lambda rep: (-rep.density, -rep.num_vertices))
+    return reports[:limit]
 
 
 class TestPersistence:

@@ -354,6 +354,28 @@ class TestHttpServer:
         assert not payload["ok"]
         assert "out of range" in payload["error"]
 
+    @pytest.mark.parametrize("request_head, error", [
+        ("POST /query HTTP/1.1\r\nContent-Length: abc", "Content-Length"),
+        ("POST /query HTTP/1.1\r\nContent-Length: -5", "Content-Length"),
+        ("GET /stats", "malformed request line"),
+    ], ids=["length-abc", "length-negative", "request-line"])
+    def test_malformed_http_is_a_counted_400(self, server, request_head,
+                                             error):
+        before = self._get(server, "/stats")["http_rejected"]
+        request = f"{request_head}\r\n\r\n{{}}".encode()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(4096):  # the server closes after it
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        envelope = json.loads(body)
+        assert not envelope["ok"]
+        assert error in envelope["error"]
+        assert self._get(server, "/stats")["http_rejected"] == before + 1
+
 
 # ---------------------------------------------------------------------------
 # the real process: `repro-nucleus serve` end to end
