@@ -11,7 +11,7 @@ Every cell is a fresh end-to-end run (peeling + hierarchy) on the same
 graph object.  Runs exceeding ``--timeout`` seconds are aborted and shown
 as starred lower bounds — the harness analogue of the paper's "did not
 finish in 2 days" entries.  Output is meant to be read next to the paper's
-tables; EXPERIMENTS.md records a full transcript with commentary.
+tables.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def run_table4(size: str, budget: float) -> None:
     print("shape check: Naive and DFT columns > 1 (paper: 21.2x, 1.8x avg; "
           "Hypo 0.66x).  Known deviation: in pure Python FND's single-pass "
           "peeling often beats LCPS's peel+traversal (paper C++: LCPS 2.1x "
-          "over FND) — see EXPERIMENTS.md")
+          "over FND)")
 
 
 def run_table5(size: str, budget: float) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.decomposition import Decomposition
-from repro.core.hierarchy import Hierarchy
 from repro.graph.adjacency import Graph
 
 __all__ = ["edge_density", "average_degree", "NucleusReport", "densest_nuclei"]
@@ -51,44 +50,21 @@ def densest_nuclei(decomposition: Decomposition, min_vertices: int = 4,
 
     Only nuclei with at least ``min_vertices`` vertices are reported (tiny
     cliques are trivially dense and uninteresting).  Sizes, edge counts
-    and densities come from the flat index's one-pass node statistics;
-    without numpy, from one induced subgraph per condensed node.
+    and densities come from the flat index's one-pass node statistics.
     """
-    hierarchy = decomposition.hierarchy
-    if hierarchy is None:
+    if decomposition.hierarchy is None:
         raise ValueError(f"{decomposition.algorithm} produced no hierarchy")
-    from repro import flatindex
+    from repro.flatindex import FlatHierarchyIndex
 
-    if flatindex.np is None:
-        reports = _per_node_reports(decomposition, hierarchy, min_vertices)
-    else:
-        index = flatindex.FlatHierarchyIndex(decomposition)
-        nv, ne, density = index.precompute_stats()
-        reports = [
-            NucleusReport(node_id=node, k=int(index.node_k[node]),
-                          num_vertices=int(nv[node]),
-                          num_edges=int(ne[node]),
-                          density=float(density[node]))
-            for node in range(index.num_nodes)
-            if node != index.root and nv[node] >= min_vertices]
+    index = FlatHierarchyIndex(decomposition)
+    nv, ne, density = index.precompute_stats()
+    reports = [
+        NucleusReport(node_id=node, k=int(index.node_k[node]),
+                      num_vertices=int(nv[node]),
+                      num_edges=int(ne[node]),
+                      density=float(density[node]))
+        for node in range(index.num_nodes)
+        if node != index.root and nv[node] >= min_vertices]
     reports.sort(key=lambda rep: (-rep.density, -rep.num_vertices))
     return reports[:limit]
 
-
-def _per_node_reports(decomposition: Decomposition, hierarchy: Hierarchy,
-                      min_vertices: int) -> list[NucleusReport]:
-    """The pure-Python path: materialise each nucleus's subgraph."""
-    tree = hierarchy.condense()
-    reports: list[NucleusReport] = []
-    for node in tree.nodes:
-        if node.id == tree.root:
-            continue
-        vertices = decomposition.view.vertices_of_cells(
-            tree.subtree_cells(node.id))
-        if len(vertices) < min_vertices:
-            continue
-        sub = decomposition.graph.subgraph(vertices)
-        reports.append(NucleusReport(
-            node_id=node.id, k=node.k, num_vertices=sub.n, num_edges=sub.m,
-            density=edge_density(sub)))
-    return reports

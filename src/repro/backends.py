@@ -15,14 +15,12 @@ Four backends implement the peeling engine:
   construction over the shared rooted forest.  Takes ``workers=N``
   (default: the ``REPRO_WORKERS`` environment variable, else 1);
   ``workers=1`` runs the sequential CSR engine with no process pool.
-  Requires numpy.
 * ``"disk"`` — :class:`~repro.external.diskcsr.DiskCSRGraph`, the same
   flat arrays stored in ``np.memmap``-backed ``.npy`` files and served
   through windowed block readers, with the incidence of (2,3)/(3,4)
   spooled to scratch files (:mod:`repro.external.engine`).  Peak memory
   is bounded by the window cache and the O(#cells) peeling state, not
   the graph — the out-of-core engine for graphs bigger than RAM.
-  Requires numpy.
 
 Callers pick per run: every function here takes ``backend=`` (or an
 already-converted graph) and guarantees **identical λ output** across
@@ -102,21 +100,19 @@ def _check(backend: str) -> None:
 
 
 def _resolve_parallel_workers(workers: int | None) -> int:
-    """Validated worker count for the ``csr-parallel`` engine (lazy import
-    keeps the object/CSR engines importable without numpy)."""
+    """Validated worker count for the ``csr-parallel`` engine (imported
+    lazily: the process-pool layer loads only when that engine runs)."""
     from repro.parallel import resolve_workers
 
     return resolve_workers(workers)
 
 
-def _diskcsr_type() -> type | None:
-    """The :class:`DiskCSRGraph` type, or ``None`` when numpy is absent
-    (lazy import keeps the object/CSR engines importable without it)."""
-    try:
-        from repro.external.diskcsr import DiskCSRGraph
-    except ImportError:  # pragma: no cover - diskcsr itself guards numpy
-        return None
-    return DiskCSRGraph
+def _is_disk(graph: AnyGraph) -> bool:
+    """Whether ``graph`` is a :class:`DiskCSRGraph` (imported lazily:
+    :mod:`repro.external` imports this module)."""
+    from repro.external.diskcsr import DiskCSRGraph
+
+    return isinstance(graph, DiskCSRGraph)
 
 
 def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
@@ -129,8 +125,7 @@ def resolve_backend(graph: AnyGraph, backend: str | None) -> str:
     if backend is None:
         if isinstance(graph, CSRGraph):
             return "csr"
-        disk_cls = _diskcsr_type()
-        if disk_cls is not None and isinstance(graph, disk_cls):
+        if _is_disk(graph):
             return "disk"
         return "object"
     _check(backend)
@@ -159,7 +154,7 @@ def as_disk(graph: AnyGraph) -> "DiskCSRGraph":
 
     A converted graph lives in a temporary ``.diskcsr`` directory it owns
     and removes on ``close()``; build into a persistent directory with
-    :func:`repro.external.build.build_diskcsr` instead.  Requires numpy.
+    :func:`repro.external.build.build_diskcsr` instead.
     """
     from repro.external.diskcsr import as_diskcsr
 
@@ -169,8 +164,7 @@ def as_disk(graph: AnyGraph) -> "DiskCSRGraph":
 def _ensure_disk(graph: AnyGraph) -> "tuple[DiskCSRGraph, bool]":
     """``(disk_graph, converted)`` — ``converted`` means this call built a
     temporary owned directory the caller must ``close()``."""
-    disk_cls = _diskcsr_type()
-    if disk_cls is not None and isinstance(graph, disk_cls):
+    if _is_disk(graph):
         return cast("DiskCSRGraph", graph), False
     return as_disk(graph), True
 
@@ -565,8 +559,7 @@ def build_query_index(graph: AnyGraph, r: int = 1, s: int = 2,
     (any backend, identical hierarchy) and lowers the condensed tree to a
     :class:`~repro.flatindex.FlatHierarchyIndex` — persist it with
     ``index.save(path)`` and a fresh process serves batch queries via
-    ``FlatHierarchyIndex.load(path)`` without re-peeling.  Requires
-    numpy (lazy import keeps the peeling engines numpy-optional).
+    ``FlatHierarchyIndex.load(path)`` without re-peeling.
     """
     from repro.flatindex import FlatHierarchyIndex
 

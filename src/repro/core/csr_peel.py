@@ -9,9 +9,9 @@ Set-λ algorithm straight over the flat arrays of a
 
 * :func:`csr_core_peel` is Batagelj–Zaversnik verbatim: one counting sort,
   then one swap per degree decrement, zero allocations in the loop;
-* :func:`csr_truss_peel` peels edges with merge-scan triangle queries —
-  the aligned ``eids`` array yields the two companion edge ids of every
-  triangle without a single hash lookup;
+* :func:`csr_truss_peel` peels edges against a materialised
+  edge→triangle incidence (:func:`truss_incidence`) — the two companion
+  edge ids of every triangle sit in flat arrays, no hash lookups;
 * :func:`csr_nucleus34_peel` peels triangles against a materialised
   triangle→K₄ incidence (:func:`nucleus34_incidence`), replacing the
   dict-of-triples object path for (3,4).
@@ -26,15 +26,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.core.peeling import PeelingResult
 from repro.graph.csr import (
-    _MAX_KEYED_N,
-    _NUMPY_MIN_TRIANGLE_EDGES,
     CSRGraph,
-    HAVE_NUMPY,
-    csr_edge_support,
-    csr_k4_triangle_ids,
+    _k4_numpy,
+    _k4_triangle_ids_python,
+    _vectorised_listing,
     csr_triangle_edge_ids,
+    fill_incidence,
 )
 
 __all__ = ["bucket_order", "csr_core_peel", "csr_nucleus34_peel",
@@ -102,52 +103,80 @@ def csr_core_peel(csr: CSRGraph) -> PeelingResult:
     return PeelingResult(lam=deg, max_lambda=max_lambda, order=vert)
 
 
-def csr_truss_peel(csr: CSRGraph, use_numpy: bool | None = None) -> PeelingResult:
+def csr_truss_peel(csr: CSRGraph) -> PeelingResult:
     """(2,3) peel: triangle level λ₃ of every edge, by edge id.
 
-    Two strategies, selected by ``use_numpy`` (``None`` = automatic):
-
-    * **replay** (numpy): list all triangles vectorised once
-      (:func:`~repro.graph.csr.csr_triangle_edge_ids`), lay the two
-      companion edge ids of every (edge, triangle) incidence into flat
-      arrays, and peel by walking that incidence — the inner loop is a pair
-      of list reads and a couple of compares;
-    * **scan** (fallback): recompute each popped edge's triangles on the
-      fly with a scan-the-shorter / bisect-the-longer intersection of the
-      two adjacency runs, Θ(|K₃|·s) memory saved.
-
-    λ output is identical either way.
+    Lists every triangle once (:func:`truss_incidence`), lays the two
+    companion edge ids of every (edge, triangle) incidence into flat
+    arrays, and peels by replaying that incidence — the inner loop is a
+    pair of list reads and a couple of compares.
     """
-    if use_numpy is None:
-        use_numpy = (HAVE_NUMPY and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and isinstance(csr, CSRGraph))
-    if use_numpy:
-        return _truss_peel_replay(csr)
-    return _truss_peel_scan(csr)
+    m = csr.m
+    sup, ptr, comp1, comp2 = truss_incidence(csr)
+
+    bins, vert, pos = bucket_order(sup)
+
+    processed = bytearray(m)
+    max_lambda = 0
+    for i in range(m):
+        e = vert[i]
+        k = sup[e]
+        if k > max_lambda:
+            max_lambda = k
+        for slot in range(ptr[e], ptr[e + 1]):
+            ea = comp1[slot]
+            eb = comp2[slot]
+            # a triangle is spent once any of its edges is peeled
+            if processed[ea] or processed[eb]:
+                continue
+            if sup[ea] > k:
+                d = sup[ea]
+                first = bins[d]
+                other = vert[first]
+                if other != ea:
+                    swap = pos[ea]
+                    vert[first] = ea
+                    vert[swap] = other
+                    pos[ea] = first
+                    pos[other] = swap
+                bins[d] = first + 1
+                sup[ea] = d - 1
+            if sup[eb] > k:
+                d = sup[eb]
+                first = bins[d]
+                other = vert[first]
+                if other != eb:
+                    swap = pos[eb]
+                    vert[first] = eb
+                    vert[swap] = other
+                    pos[eb] = first
+                    pos[other] = swap
+                bins[d] = first + 1
+                sup[eb] = d - 1
+        processed[e] = 1
+    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)
 
 
-def truss_incidence(csr: CSRGraph,
-                    use_numpy: bool | None = None,
-                    ) -> tuple[list[int], list[int], list[int], list[int]]:
+def truss_incidence(
+        csr: CSRGraph) -> tuple[list[int], list[int], list[int], list[int]]:
     """Materialised edge→triangle incidence: ``(sup, ptr, comp1, comp2)``.
 
     ``sup[e]`` is the triangle count of edge ``e`` (initial ω₃); incidence
     slots ``ptr[e] .. ptr[e+1]`` hold, in the two aligned companion arrays,
-    the other two edge ids of each triangle through ``e``.  With numpy the
-    whole structure falls out of one vectorised triangle listing
-    (:func:`~repro.graph.csr.csr_triangle_edge_ids`) plus an argsort; the
-    fallback enumerates triangles with merge scans and counting-sorts them
-    into the same layout.  Shared by the replay truss peel and the direct
-    (2,3) hierarchy construction.
+    the other two edge ids of each triangle through ``e``.  Shared by the
+    truss peel and the direct (2,3) hierarchy construction.  Both bodies
+    list the same triangles per edge; only their slot order differs.
     """
-    m = csr.m
-    if use_numpy is None:
-        use_numpy = (HAVE_NUMPY and m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and isinstance(csr, CSRGraph))
-    if use_numpy:
+    if _vectorised_listing(csr):
         sup, ptr, (comp1, comp2) = _truss_incidence_numpy(csr)
         return sup.tolist(), ptr.tolist(), comp1.tolist(), comp2.tolist()
+    return _truss_incidence_python(csr)
 
+
+def _truss_incidence_python(
+        csr: CSRGraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """:func:`truss_incidence` by merge scans, counting-sorted into place."""
+    m = csr.m
     indptr, indices, eids = csr.hot_arrays()
     bisect = bisect_left
     triples: list[tuple[int, int, int]] = []
@@ -201,125 +230,9 @@ def truss_incidence(csr: CSRGraph,
     return sup, ptr, comp1, comp2
 
 
-def _truss_peel_replay(csr: CSRGraph) -> PeelingResult:
-    """Materialised-incidence truss peel (vectorised set-up, flat replay)."""
-    m = csr.m
-    sup, ptr, comp1, comp2 = truss_incidence(csr, use_numpy=True)
-
-    bins, vert, pos = bucket_order(sup)
-
-    processed = bytearray(m)
-    max_lambda = 0
-    for i in range(m):
-        e = vert[i]
-        k = sup[e]
-        if k > max_lambda:
-            max_lambda = k
-        for slot in range(ptr[e], ptr[e + 1]):
-            ea = comp1[slot]
-            eb = comp2[slot]
-            # a triangle is spent once any of its edges is peeled
-            if processed[ea] or processed[eb]:
-                continue
-            if sup[ea] > k:
-                d = sup[ea]
-                first = bins[d]
-                other = vert[first]
-                if other != ea:
-                    swap = pos[ea]
-                    vert[first] = ea
-                    vert[swap] = other
-                    pos[ea] = first
-                    pos[other] = swap
-                bins[d] = first + 1
-                sup[ea] = d - 1
-            if sup[eb] > k:
-                d = sup[eb]
-                first = bins[d]
-                other = vert[first]
-                if other != eb:
-                    swap = pos[eb]
-                    vert[first] = eb
-                    vert[swap] = other
-                    pos[eb] = first
-                    pos[other] = swap
-                bins[d] = first + 1
-                sup[eb] = d - 1
-        processed[e] = 1
-    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)
-
-
-def _truss_peel_scan(csr: CSRGraph) -> PeelingResult:
-    """Recompute-on-the-fly truss peel (no numpy, no materialisation)."""
-    m = csr.m
-    indptr, indices, eids = csr.hot_arrays()
-    esrc, etgt = csr.esrc, csr.etgt
-    sup = csr_edge_support(csr, use_numpy=False)
-    bins, vert, pos = bucket_order(sup)
-
-    processed = bytearray(m)
-    bisect = bisect_left
-    max_lambda = 0
-    for i in range(m):
-        e = vert[i]
-        k = sup[e]
-        if k > max_lambda:
-            max_lambda = k
-        u = esrc[e]
-        v = etgt[e]
-        # every triangle through (u, v): scan the shorter adjacency run,
-        # bisect the longer (C-speed, and the window only shrinks because
-        # both runs are sorted)
-        a_lo, a_hi = indptr[u], indptr[u + 1]
-        b_lo, b_hi = indptr[v], indptr[v + 1]
-        if a_hi - a_lo > b_hi - b_lo:
-            a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
-        for p in range(a_lo, a_hi):
-            w = indices[p]
-            q = bisect(indices, w, b_lo, b_hi)
-            if q >= b_hi:
-                break
-            if indices[q] != w:
-                b_lo = q
-                continue
-            b_lo = q + 1
-            e1 = eids[p]
-            e2 = eids[q]
-            # a triangle is spent once any of its edges is peeled
-            if not processed[e1] and not processed[e2]:
-                if sup[e1] > k:
-                    d = sup[e1]
-                    first = bins[d]
-                    other = vert[first]
-                    if other != e1:
-                        slot = pos[e1]
-                        vert[first] = e1
-                        vert[slot] = other
-                        pos[e1] = first
-                        pos[other] = slot
-                    bins[d] = first + 1
-                    sup[e1] = d - 1
-                if sup[e2] > k:
-                    d = sup[e2]
-                    first = bins[d]
-                    other = vert[first]
-                    if other != e2:
-                        slot = pos[e2]
-                        vert[first] = e2
-                        vert[slot] = other
-                        pos[e2] = first
-                        pos[other] = slot
-                    bins[d] = first + 1
-                    sup[e2] = d - 1
-        processed[e] = 1
-    return PeelingResult(lam=sup, max_lambda=max_lambda, order=vert)
-
-
 def _truss_incidence_numpy(csr: CSRGraph):
     """Vectorised edge→triangle incidence as numpy arrays:
     ``(sup, ptr, (comp1, comp2))``."""
-    from repro.graph.csr import fill_incidence
-
     e1, e2, e3 = csr_triangle_edge_ids(csr)
     return fill_incidence([e1, e2, e3], [(e2, e3), (e1, e3), (e1, e2)],
                           csr.m)
@@ -328,12 +241,10 @@ def _truss_incidence_numpy(csr: CSRGraph):
 def truss_incidence_arrays(csr: CSRGraph):
     """:func:`truss_incidence` as int64 numpy arrays: ``(sup, ptr,
     (comp1, comp2))`` — what the bulk peel consumes, without the list
-    round-trip (requires numpy)."""
-    import numpy as np
-
-    if csr.m >= _NUMPY_MIN_TRIANGLE_EDGES:
+    round-trip."""
+    if _vectorised_listing(csr):
         return _truss_incidence_numpy(csr)
-    sup, ptr, comp1, comp2 = truss_incidence(csr, use_numpy=False)
+    sup, ptr, comp1, comp2 = _truss_incidence_python(csr)
     return (np.asarray(sup, dtype=np.int64),
             np.asarray(ptr, dtype=np.int64),
             (np.asarray(comp1, dtype=np.int64),
@@ -343,8 +254,6 @@ def truss_incidence_arrays(csr: CSRGraph):
 def _nucleus34_incidence_numpy(csr: CSRGraph):
     """Vectorised triangle→K₄ incidence: ``(triangles, sup, ptr, comps)``
     with numpy arrays (callers guard ``n < _MAX_KEYED_N``)."""
-    from repro.graph.csr import _k4_numpy, fill_incidence
-
     tu, tv, tw, q1, q2, q3, q4 = _k4_numpy(csr)
     triangles = list(zip(tu.tolist(), tv.tolist(), tw.tolist(), strict=True))
     # quad-major occurrence order + stable argsort lays each triangle's
@@ -357,20 +266,18 @@ def _nucleus34_incidence_numpy(csr: CSRGraph):
 
 
 def nucleus34_incidence_arrays(csr: CSRGraph):
-    """:func:`nucleus34_incidence` as int64 numpy arrays (requires
-    numpy): ``(triangles, sup, ptr, (c1, c2, c3))``."""
-    import numpy as np
-
-    if csr.m >= _NUMPY_MIN_TRIANGLE_EDGES and csr.n < _MAX_KEYED_N:
+    """:func:`nucleus34_incidence` as int64 numpy arrays:
+    ``(triangles, sup, ptr, (c1, c2, c3))``."""
+    if _vectorised_listing(csr, keyed=True):
         return _nucleus34_incidence_numpy(csr)
-    triangles, sup, ptr, comps = nucleus34_incidence(csr, use_numpy=False)
+    triangles, sup, ptr, comps = _nucleus34_incidence_python(csr)
     return (triangles, np.asarray(sup, dtype=np.int64),
             np.asarray(ptr, dtype=np.int64),
             tuple(np.asarray(c, dtype=np.int64) for c in comps))
 
 
 def nucleus34_incidence(
-        csr: CSRGraph, use_numpy: bool | None = None,
+        csr: CSRGraph,
 ) -> tuple[list[tuple[int, int, int]], list[int], list[int],
            tuple[list[int], list[int], list[int]]]:
     """Materialised triangle→K₄ incidence: ``(triangles, sup, ptr, comps)``.
@@ -381,18 +288,24 @@ def nucleus34_incidence(
     companion arrays hold the other three triangle ids of each K₄ through
     ``t``.  Shared by the direct (3,4) peel and hierarchy construction.
 
-    With numpy available both the K₄ listing and the incidence fill run
-    vectorised (quad-major stable sort reproduces the cursor fill slot for
-    slot); the python fallback below is the reference layout.
+    The numpy body lists K₄s and fills the incidence vectorised
+    (quad-major stable sort reproduces the cursor fill slot for slot); the
+    python body is the reference layout.
     """
-    if use_numpy is None:
-        use_numpy = (HAVE_NUMPY and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and csr.n < _MAX_KEYED_N and isinstance(csr, CSRGraph))
-    if use_numpy:
+    if _vectorised_listing(csr, keyed=True):
         triangles, sup, ptr, comps = _nucleus34_incidence_numpy(csr)
         return (triangles, sup.tolist(), ptr.tolist(),
                 tuple(c.tolist() for c in comps))
-    triangles, quads = csr_k4_triangle_ids(csr, use_numpy=False)
+    return _nucleus34_incidence_python(csr)
+
+
+def _nucleus34_incidence_python(
+        csr: CSRGraph,
+) -> tuple[list[tuple[int, int, int]], list[int], list[int],
+           tuple[list[int], list[int], list[int]]]:
+    """:func:`nucleus34_incidence` by a cursor fill over the python K₄
+    listing."""
+    triangles, quads = _k4_triangle_ids_python(csr)
     t = len(triangles)
     sup = [0] * t
     for quad in quads:

@@ -22,13 +22,10 @@ import json
 from pathlib import Path
 from zipfile import BadZipFile
 
-from repro.core.hierarchy import Hierarchy, NucleusTree
-from repro.errors import GraphFormatError, InvalidParameterError
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.core.hierarchy import Hierarchy, NucleusTree
+from repro.errors import GraphFormatError
 
 __all__ = [
     "hierarchy_to_json",
@@ -106,10 +103,6 @@ def save_hierarchy_npz(hierarchy: Hierarchy, path: str | Path) -> None:
     contiguous binary blob per array, so loading is an ``fread`` per
     array instead of a JSON parse over every int.
     """
-    if _np is None:
-        raise InvalidParameterError(
-            "hierarchy .npz persistence requires numpy (use the JSON "
-            "format instead)")
     with open(path, "wb") as handle:  # savez would append ".npz"
         _save_hierarchy_arrays(handle, hierarchy)
 
@@ -133,10 +126,6 @@ def _save_hierarchy_arrays(handle, hierarchy: Hierarchy) -> None:
 
 def load_hierarchy_npz(path: str | Path) -> Hierarchy:
     """Inverse of :func:`save_hierarchy_npz`."""
-    if _np is None:
-        raise InvalidParameterError(
-            "hierarchy .npz persistence requires numpy (use the JSON "
-            "format instead)")
     try:
         with _np.load(path, allow_pickle=False) as payload:
             missing = [key for key in _NPZ_KEYS if key not in payload.files]

@@ -37,15 +37,12 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 from zipfile import BadZipFile
 
+import numpy as np
+
 from repro.core.decomposition import Decomposition
 from repro.core.hierarchy import Hierarchy
 from repro.errors import GraphFormatError, InvalidParameterError
 from repro.queries import CommunityLevel
-
-try:  # the index is array-native; there is no object fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    np = None  # type: ignore[assignment]
 
 __all__ = ["FlatHierarchyIndex", "FLAT_INDEX_FORMAT", "mmap_npz"]
 
@@ -62,13 +59,6 @@ _REQUIRED_KEYS = (
 
 #: optional per-node profile statistics (written by ``save(stats=True)``)
 _STAT_KEYS = ("node_nv", "node_ne", "node_density")
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise InvalidParameterError(
-            "FlatHierarchyIndex requires numpy (the flat query index has no "
-            "object fallback; use repro.queries.HierarchyIndex instead)")
 
 
 def _read_npy_header(handle: Any, version: tuple[int, int]) -> Any:
@@ -333,7 +323,6 @@ class FlatHierarchyIndex:
     def __init__(self, decomposition: Decomposition | None = None, *,
                  hierarchy: Hierarchy | None = None,
                  graph: Any = None, view: Any = None) -> None:
-        _require_numpy()
         if decomposition is not None:
             hierarchy = decomposition.hierarchy
             graph = decomposition.graph
@@ -712,7 +701,6 @@ class FlatHierarchyIndex:
         be mapped falls back to an eager load.  ``mmap_mode=None`` (the
         default) loads eagerly.
         """
-        _require_numpy()
         if view is not None:
             warnings.warn(
                 "FlatHierarchyIndex.load(view=...) is deprecated and ignored; "

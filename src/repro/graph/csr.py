@@ -16,11 +16,11 @@ Edge ids are assigned in lexicographic endpoint order, exactly matching
 :class:`~repro.graph.adjacency.EdgeIndex`, so λ arrays computed on either
 backend are comparable element-for-element.
 
-Storage is ``array('i')`` (32-bit, C-contiguous).  Construction has an
-optional numpy fast path (dedup + CSR fill fully vectorised); the purely
-sequential peel loops instead use :meth:`CSRGraph.hot_arrays`, which caches
-plain-``list`` copies — CPython indexes a list of cached references faster
-than it can re-box ints out of a typed array.
+Storage is ``array('i')`` (32-bit, C-contiguous).  Construction is
+vectorised (dedup + CSR fill in numpy); the purely sequential peel loops
+instead use :meth:`CSRGraph.hot_arrays`, which caches plain-``list``
+copies — CPython indexes a list of cached references faster than it can
+re-box ints out of a typed array.
 
 Also here: the CSR merge-intersection enumerators (edge triangle supports,
 triangles, four-clique counts) that the (2,3)/(3,4) cell views build on.
@@ -32,17 +32,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator
 
+import numpy as _np
+
 from repro.errors import InvalidGraphError
 from repro.graph.adjacency import Graph, normalize_edge
 
-try:  # optional fast path; everything works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
-
 __all__ = [
     "CSRGraph",
-    "HAVE_NUMPY",
     "csr_arrays_int64",
     "csr_edge_support",
     "csr_k4_triangle_ids",
@@ -56,12 +52,6 @@ __all__ = [
     "triangle_run_pointers",
     "triangle_triples",
 ]
-
-#: whether the optional numpy fast paths are available in this environment
-HAVE_NUMPY = _np is not None
-
-#: below this many input pairs the numpy round-trip costs more than it saves
-_NUMPY_MIN_EDGES = 512
 
 #: the int-key index algebra encodes a vertex triple as (u·n + v)·n + w,
 #: which must stay below 2^63; graphs past this bound take the python path
@@ -80,6 +70,29 @@ def _from_numpy(arr) -> array:
     return out
 
 
+def _edge_pairs(edges: Iterable[tuple[int, int]]):
+    """The input edges as an int64 ``(k, 2)`` array.
+
+    Rejects, with :class:`InvalidGraphError`, anything a silent cast would
+    corrupt: non-integer endpoints (floats, strings) and pairs that are not
+    of length 2.
+    """
+    edge_list = list(edges)
+    if not edge_list:
+        return _np.empty((0, 2), dtype=_np.int64)
+    try:
+        pairs = _np.asarray(edge_list)
+    except ValueError:  # ragged: tuples of mixed lengths
+        raise InvalidGraphError("edges must be (u, v) pairs") from None
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidGraphError(
+            f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise InvalidGraphError(
+            f"edge endpoints must be integers, got dtype {pairs.dtype}")
+    return pairs.astype(_np.int64, copy=False)
+
+
 class CSRGraph:
     """An immutable, undirected, simple graph in CSR layout.
 
@@ -94,79 +107,23 @@ class CSRGraph:
     __slots__ = ("indptr", "indices", "eids", "esrc", "etgt", "name",
                  "_n", "_hot", "_edge_index")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = "",
-                 use_numpy: bool | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
             raise InvalidGraphError(f"vertex count must be non-negative, got {n}")
-        edge_list = list(edges)
         self._n = n
         self.name = name
         self._hot = None
         self._edge_index = None
-        numpy_wanted = (_np is not None if use_numpy is None else use_numpy)
-        if use_numpy and _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
-        if numpy_wanted and _np is not None and len(edge_list) >= (
-                0 if use_numpy else _NUMPY_MIN_EDGES):
-            self._build_numpy(n, edge_list)
-        else:
-            self._build_python(n, edge_list)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build_python(self, n: int, edge_list: list[tuple[int, int]]) -> None:
-        unique: set[tuple[int, int]] = set()
-        for u, v in edge_list:
-            if u == v:
-                raise InvalidGraphError(f"self loop on vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidGraphError(f"edge ({u}, {v}) out of range for n={n}")
-            unique.add(normalize_edge(u, v))
-        ordered = sorted(unique)
-        m = len(ordered)
-        indptr = _zeros(n + 1)
-        for u, v in ordered:
-            indptr[u + 1] += 1
-            indptr[v + 1] += 1
-        for v in range(n):
-            indptr[v + 1] += indptr[v]
-        indices = _zeros(2 * m)
-        eids = _zeros(2 * m)
-        esrc = _zeros(m)
-        etgt = _zeros(m)
-        cursor = indptr.tolist()
-        for eid, (u, v) in enumerate(ordered):
-            # lexicographic edge order makes each adjacency run come out
-            # sorted: all smaller-id neighbours of x are written (in order)
-            # before any larger-id ones.
-            p = cursor[u]
-            indices[p] = v
-            eids[p] = eid
-            cursor[u] = p + 1
-            p = cursor[v]
-            indices[p] = u
-            eids[p] = eid
-            cursor[v] = p + 1
-            esrc[eid] = u
-            etgt[eid] = v
-        self.indptr, self.indices, self.eids = indptr, indices, eids
-        self.esrc, self.etgt = esrc, etgt
-
-    def _build_numpy(self, n: int, edge_list: list[tuple[int, int]]) -> None:
-        if not edge_list:
-            self._build_python(n, edge_list)
-            return
-        pairs = _np.asarray(edge_list, dtype=_np.int64).reshape(-1, 2)
-        if pairs.min() < 0 or pairs.max() >= n:
-            bad = pairs[(pairs.min(axis=1) < 0) | (pairs.max(axis=1) >= n)][0]
-            raise InvalidGraphError(
-                f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
-        if (pairs[:, 0] == pairs[:, 1]).any():
-            loop = pairs[pairs[:, 0] == pairs[:, 1]][0, 0]
-            raise InvalidGraphError(f"self loop on vertex {loop} is not allowed")
+        pairs = _edge_pairs(edges)
         lo = _np.minimum(pairs[:, 0], pairs[:, 1])
         hi = _np.maximum(pairs[:, 0], pairs[:, 1])
+        if len(pairs) and (lo.min() < 0 or hi.max() >= n):
+            bad = pairs[(lo < 0) | (hi >= n)][0]
+            raise InvalidGraphError(
+                f"edge ({bad[0]}, {bad[1]}) out of range for n={n}")
+        if (lo == hi).any():
+            raise InvalidGraphError(
+                f"self loop on vertex {lo[lo == hi][0]} is not allowed")
         keys = _np.unique(lo * n + hi)  # dedup + lexicographic sort in one shot
         src = keys // n
         tgt = keys % n
@@ -186,12 +143,12 @@ class CSRGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None,
-                   name: str = "", use_numpy: bool | None = None) -> "CSRGraph":
+                   name: str = "") -> "CSRGraph":
         """Build from an edge iterable, inferring ``n`` when omitted."""
         edge_list = list(edges)
         if n is None:
             n = 1 + max((max(u, v) for u, v in edge_list), default=-1)
-        return cls(n, edge_list, name=name, use_numpy=use_numpy)
+        return cls(n, edge_list, name=name)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
@@ -409,14 +366,27 @@ def _suffix_start(indices: list[int], lo: int, hi: int, v: int) -> int:
 _NUMPY_MIN_TRIANGLE_EDGES = 256
 
 
+def _vectorised_listing(csr: CSRGraph, keyed: bool = False) -> bool:
+    """Whether the clique listings of ``csr`` take the numpy bodies.
+
+    Only a real :class:`CSRGraph` of at least
+    :data:`_NUMPY_MIN_TRIANGLE_EDGES` edges does: below that the python
+    merge scans are faster, and duck-typed CSR layouts (the disk backend's
+    windowed arrays) have no typed arrays to vectorise over.  ``keyed``
+    listings encode vertex triples as int64 keys and also need
+    ``n < _MAX_KEYED_N``.
+    """
+    return (csr.m >= _NUMPY_MIN_TRIANGLE_EDGES and isinstance(csr, CSRGraph)
+            and (not keyed or csr.n < _MAX_KEYED_N))
+
+
 def csr_triangle_edge_ids(csr: CSRGraph):
     """All triangles as three aligned numpy edge-id arrays ``(e1, e2, e3)``.
 
     Fully vectorised: orient every edge toward the (degree, id)-larger
     endpoint, generate all wedge pairs inside each forward run with
     ``repeat``/``cumsum`` index algebra, and close them with one
-    ``searchsorted`` against the lexicographic edge-key array.  Requires
-    numpy (callers check :data:`HAVE_NUMPY`).
+    ``searchsorted`` against the lexicographic edge-key array.
     """
     n, m = csr.n, csr.m
     if m == 0:
@@ -435,28 +405,29 @@ def csr_triangle_edge_ids(csr: CSRGraph):
          for lo, hi in zip(cuts[:-1], cuts[1:], strict=True)], 3)
 
 
-def csr_edge_support(csr: CSRGraph, use_numpy: bool | None = None) -> list[int]:
-    """Triangles containing each edge, indexed by edge id (initial ω₃).
+def csr_edge_support(csr: CSRGraph) -> list[int]:
+    """Triangles containing each edge, indexed by edge id (initial ω₃)."""
+    if _vectorised_listing(csr):
+        return _edge_support_numpy(csr)
+    return _edge_support_python(csr)
 
-    With numpy present (and the graph non-trivial) the count is one
-    ``bincount`` over :func:`csr_triangle_edge_ids`.  The fallback finds
-    each triangle ``u < v < w`` once from its lowest edge ``(u, v)`` by
-    intersecting the two suffix runs ``> v``: the shorter run is scanned,
-    the longer bisected (runs are sorted, so the search window only ever
-    shrinks), and the aligned ``eids`` array turns every match into the
-    three edge ids with zero hash lookups.
+
+def _edge_support_numpy(csr: CSRGraph) -> list[int]:
+    """Edge supports as one ``bincount`` over :func:`csr_triangle_edge_ids`."""
+    e1, e2, e3 = csr_triangle_edge_ids(csr)
+    return _np.bincount(_np.concatenate([e1, e2, e3]),
+                        minlength=csr.m).tolist()
+
+
+def _edge_support_python(csr: CSRGraph) -> list[int]:
+    """Edge supports by merge scans.
+
+    Finds each triangle ``u < v < w`` once from its lowest edge ``(u, v)``
+    by intersecting the two suffix runs ``> v``: the shorter run is
+    scanned, the longer bisected (runs are sorted, so the search window
+    only ever shrinks), and the aligned ``eids`` array turns every match
+    into the three edge ids with zero hash lookups.
     """
-    if use_numpy is None:
-        # the vectorised listing needs the real typed arrays; duck-typed
-        # CSR layouts (the disk backend) take the scalar fallback
-        use_numpy = (_np is not None and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and isinstance(csr, CSRGraph))
-    if use_numpy:
-        if _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
-        e1, e2, e3 = csr_triangle_edge_ids(csr)
-        return _np.bincount(_np.concatenate([e1, e2, e3]),
-                            minlength=csr.m).tolist()
     indptr, indices, eids = csr.hot_arrays()
     bisect = bisect_left
     support = [0] * csr.m
@@ -771,7 +742,7 @@ def _k4_numpy(csr: CSRGraph):
 
 
 def csr_k4_triangle_ids(
-        csr: CSRGraph, use_numpy: bool | None = None,
+        csr: CSRGraph,
 ) -> tuple[list[tuple[int, int, int]],
            tuple[list[int], list[int], list[int], list[int]]]:
     """All four-cliques as four aligned triangle-id lists, plus the triangles.
@@ -782,7 +753,24 @@ def csr_k4_triangle_ids(
     aligned lists holds the ids of the triangles ``(u,v,w)``, ``(u,v,x)``,
     ``(u,w,x)``, ``(v,w,x)`` of the ``i``-th four-clique ``u < v < w < x``.
     This is the materialised triangle→K₄ incidence the direct (3,4) peel
-    and hierarchy construction replay.
+    and hierarchy construction replay.  Both bodies return identical
+    output, clique for clique.
+    """
+    if _vectorised_listing(csr, keyed=True):
+        return _k4_triangle_ids_numpy(csr)
+    return _k4_triangle_ids_python(csr)
+
+
+def _k4_triangle_ids_numpy(csr: CSRGraph):
+    """:func:`csr_k4_triangle_ids` through :func:`triangle_pair_kernel` and
+    :func:`k4_pair_kernel`, fully vectorised."""
+    tu, tv, tw, q1, q2, q3, q4 = _k4_numpy(csr)
+    triangles = list(zip(tu.tolist(), tv.tolist(), tw.tolist(), strict=True))
+    return triangles, (q1.tolist(), q2.tolist(), q3.tolist(), q4.tolist())
+
+
+def _k4_triangle_ids_python(csr: CSRGraph):
+    """:func:`csr_k4_triangle_ids` by scanning the triangle list.
 
     Four-cliques are found once from their smallest edge ``(u, v)``: a pair
     ``w < x`` of common neighbours beyond ``v`` completes one iff ``(w, x)``
@@ -792,21 +780,8 @@ def csr_k4_triangle_ids(
     since ``w`` and ``x`` are both adjacent to ``u``, the edge ``(w, x)``
     exists iff ``(u, w, x)`` is a triangle — one probe of the id map, whose
     value the K₄ record needs anyway.
-
-    With numpy present (``use_numpy=None`` auto-selects) the same
-    enumeration runs fully vectorised through :func:`triangle_pair_kernel`
-    and :func:`k4_pair_kernel`; output is identical, clique for clique.
     """
     n = csr.n
-    if use_numpy is None:
-        use_numpy = (_np is not None and csr.m >= _NUMPY_MIN_TRIANGLE_EDGES
-                     and n < _MAX_KEYED_N and isinstance(csr, CSRGraph))
-    if use_numpy:
-        if _np is None:
-            raise InvalidGraphError("numpy fast path requested but numpy is missing")
-        tu, tv, tw, q1, q2, q3, q4 = _k4_numpy(csr)
-        triangles = list(zip(tu.tolist(), tv.tolist(), tw.tolist(), strict=True))
-        return triangles, (q1.tolist(), q2.tolist(), q3.tolist(), q4.tolist())
     triangles = list(csr_triangles(csr))
     # encoded int keys hash faster than tuple keys in the pair probes below
     tri_id: dict[int, int] = {

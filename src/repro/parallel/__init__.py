@@ -16,9 +16,6 @@ four pieces, each usable on its own:
   incidence shards, the parent merges the per-worker forests into the
   shared rooted forest (condensed tree node-for-node identical to the
   sequential FND engine).
-
-Requires numpy (the CSR engine's optional fast-path dependency becomes a
-hard one here); importing this package without it raises ImportError.
 """
 
 from repro.parallel.bulk import (

@@ -22,11 +22,14 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.bucket import FlatBucketQueue
+from repro.core import csr_peel
 from repro.core.csr_peel import (
-    _truss_peel_replay,
-    _truss_peel_scan,
+    _truss_incidence_numpy,
+    _truss_incidence_python,
     csr_core_peel,
     csr_truss_peel,
+    nucleus34_incidence,
+    truss_incidence,
 )
 from repro.core.peeling import peel
 from repro.core.views import EdgeView, VertexView, build_view
@@ -38,10 +41,13 @@ from repro.graph.cliques import (
     triangle_k4_counts,
     triangles,
 )
+from repro.graph import csr as csr_module
 from repro.graph.csr import (
-    HAVE_NUMPY,
     CSRGraph,
+    _edge_support_numpy,
+    _edge_support_python,
     csr_edge_support,
+    csr_k4_triangle_ids,
     csr_triangle_k4_counts,
     csr_triangles,
 )
@@ -68,12 +74,23 @@ _ids = [g.name for g in GENERATOR_SUITE]
 
 
 def _build_variants(graph: Graph) -> list[CSRGraph]:
-    edges = list(graph.edges())
-    variants = [CSRGraph(graph.n, edges, use_numpy=False),
-                CSRGraph.from_graph(graph)]
-    if HAVE_NUMPY:
-        variants.append(CSRGraph(graph.n, edges, use_numpy=True))
-    return variants
+    """The edge-list build and the from-graph conversion of ``graph``."""
+    return [CSRGraph(graph.n, list(graph.edges())), CSRGraph.from_graph(graph)]
+
+
+def _truss_incidence_cells(sup, ptr, comp1, comp2):
+    """Per edge, the sorted companion pairs of its triangles (the two
+    listing bodies visit triangles in different orders)."""
+    return [sup[e] for e in range(len(sup))], [
+        sorted(tuple(sorted((int(comp1[k]), int(comp2[k]))))
+               for k in range(ptr[e], ptr[e + 1]))
+        for e in range(len(sup))]
+
+
+def _truss_bodies_agree(csr: CSRGraph) -> bool:
+    sup, ptr, (comp1, comp2) = _truss_incidence_numpy(csr)
+    return (_truss_incidence_cells(*_truss_incidence_python(csr)) ==
+            _truss_incidence_cells(sup.tolist(), ptr.tolist(), comp1, comp2))
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +121,20 @@ class TestStructure:
             assert csr.edge_id(0, graph.n + 5) is None or graph.n == 0
 
     def test_build_paths_agree_exactly(self):
-        graph = generators.powerlaw_cluster(300, 6, 0.5, seed=2)
-        python_built, from_graph, numpy_built = (
-            _build_variants(graph) if HAVE_NUMPY
-            else _build_variants(graph) + [None])
-        for other in (from_graph, numpy_built):
-            if other is None:
-                continue
-            assert other.indptr == python_built.indptr
-            assert other.indices == python_built.indices
-            assert other.eids == python_built.eids
-            assert other.esrc == python_built.esrc
-            assert other.etgt == python_built.etgt
+        full = list(generators.powerlaw_cluster(300, 6, 0.5, seed=2).edges())
+        assert len(full) > 512
+        for count in (0, 1, 63, 64, 255, 256, 511, 512, len(full)):
+            graph = Graph(300, full[:count])
+            assert graph.m == count
+            # reversed and repeated pairs exercise the normalisation
+            raw = [(v, u) for u, v in graph.edges()] + list(graph.edges())
+            built = CSRGraph(graph.n, raw)
+            from_graph = CSRGraph.from_graph(graph)
+            assert built.indptr == from_graph.indptr
+            assert built.indices == from_graph.indices
+            assert built.eids == from_graph.eids
+            assert built.esrc == from_graph.esrc
+            assert built.etgt == from_graph.etgt
 
     def test_duplicate_and_reversed_edges_tolerated(self):
         csr = CSRGraph(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
@@ -125,9 +144,21 @@ class TestStructure:
     def test_self_loop_rejected(self):
         with pytest.raises(InvalidGraphError):
             CSRGraph(3, [(1, 1)])
-        if HAVE_NUMPY:
-            with pytest.raises(InvalidGraphError):
-                CSRGraph(3, [(1, 1)], use_numpy=True)
+        path = [(i, i + 1) for i in range(600)]
+        with pytest.raises(InvalidGraphError, match="self loop"):
+            CSRGraph(700, path + [(5, 5)])
+
+    @pytest.mark.parametrize("bad", [(0.7, 2.2), ("0", "1"), (0, 1, 2)],
+                             ids=["float", "string", "triple"])
+    @pytest.mark.parametrize("size", [0, 600])
+    def test_non_integer_pairs_rejected(self, bad, size):
+        # a silent int cast would store (0, 2) for (0.7, 2.2) or parse
+        # strings; every input size must reject them instead
+        edges = [(i, i + 1) for i in range(size)] + [bad]
+        with pytest.raises(InvalidGraphError):
+            CSRGraph(700, edges)
+        with pytest.raises(InvalidGraphError):
+            CSRGraph(700, [bad] * (size + 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidGraphError):
@@ -161,9 +192,36 @@ class TestEnumeration:
     def test_edge_support_matches(self, graph):
         csr = CSRGraph.from_graph(graph)
         expected = edge_triangle_counts(graph)
-        assert csr_edge_support(csr, use_numpy=False) == expected
-        if HAVE_NUMPY:
-            assert csr_edge_support(csr, use_numpy=True) == expected
+        assert _edge_support_python(csr) == expected
+        assert _edge_support_numpy(csr) == expected
+        assert csr_edge_support(csr) == expected
+
+    def test_listing_dispatch_by_size_and_type(self, monkeypatch, tmp_path):
+        from repro.external.diskcsr import as_diskcsr
+
+        def forbidden(*_args):
+            raise AssertionError("numpy listing taken")
+
+        for name in ("_edge_support_numpy", "_k4_triangle_ids_numpy"):
+            monkeypatch.setattr(csr_module, name, forbidden)
+        for name in ("_truss_incidence_numpy", "_nucleus34_incidence_numpy"):
+            monkeypatch.setattr(csr_peel, name, forbidden)
+        full = list(generators.erdos_renyi(60, 0.2, seed=4).edges())
+        assert len(full) >= 300
+        small = CSRGraph(60, full[:255])
+        large = CSRGraph(60, full)
+        with as_diskcsr(large, directory=tmp_path / "g.diskcsr") as disk:
+            # below 256 edges, and for the disk backend's windowed arrays,
+            # every listing takes the python body
+            for graph in (small, disk):
+                csr_edge_support(graph)
+                csr_k4_triangle_ids(graph)
+                truss_incidence(graph)
+                nucleus34_incidence(graph)
+        for call in (csr_edge_support, csr_k4_triangle_ids, truss_incidence,
+                     nucleus34_incidence):
+            with pytest.raises(AssertionError, match="numpy listing"):
+                call(large)
 
     @pytest.mark.parametrize("graph", GENERATOR_SUITE, ids=_ids)
     def test_triangle_sets_match(self, graph):
@@ -194,10 +252,12 @@ class TestPeels:
     def test_truss_peel_matches_both_strategies(self, graph):
         expected = peel(EdgeView(graph))
         csr = CSRGraph.from_graph(graph)
-        assert _truss_peel_scan(csr).lam == expected.lam
-        if HAVE_NUMPY:
-            assert _truss_peel_replay(csr).lam == expected.lam
-        assert csr_truss_peel(csr).max_lambda == expected.max_lambda
+        # the peel replays whichever incidence body the size selects; both
+        # must list the same triangles through every edge
+        assert _truss_bodies_agree(csr)
+        result = csr_truss_peel(csr)
+        assert result.lam == expected.lam
+        assert result.max_lambda == expected.max_lambda
 
     @given(small_graphs())
     @settings(max_examples=60)
@@ -209,9 +269,8 @@ class TestPeels:
     def test_truss_peel_matches_random(self, g):
         expected = peel(EdgeView(g)).lam
         csr = as_csr(g)
-        assert _truss_peel_scan(csr).lam == expected
-        if HAVE_NUMPY:
-            assert _truss_peel_replay(csr).lam == expected
+        assert _truss_bodies_agree(csr)
+        assert csr_truss_peel(csr).lam == expected
 
     def test_core_peel_order_is_degeneracy_order(self):
         g = generators.powerlaw_cluster(80, 4, 0.5, seed=9)

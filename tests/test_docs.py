@@ -12,8 +12,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")  # the docs lean on the flat index + serving
-
 ROOT = Path(__file__).resolve().parents[1]
 
 _FENCE = re.compile(r"^```python\s*$(.*?)^```\s*$",

@@ -88,7 +88,6 @@ class TestNpzDispatch:
     def test_save_hierarchy_dispatches_on_suffix(self, tmp_path):
         h = nucleus_decomposition(figure2_graph(), 1, 2,
                                   algorithm="fnd").hierarchy
-        pytest.importorskip("numpy")
         path = tmp_path / "h.npz"
         save_hierarchy(h, path)
         restored = load_hierarchy(path)

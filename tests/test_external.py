@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.decomposition import nucleus_decomposition
-from repro.errors import InvalidGraphError, UnknownAlgorithmError
+from repro.errors import UnknownAlgorithmError
 from repro.external import (
-    DiskAdjacency,
-    DiskVertexView,
     semi_external_core_decomposition,
     semi_external_decomposition,
 )
+from repro.external.diskcsr import as_diskcsr
+from repro.external.engine import disk_core_peel
 from repro.graph import generators
 from repro.graph.adjacency import Graph
 from repro.kcore import core_numbers
@@ -18,48 +18,16 @@ from repro.kcore import core_numbers
 from _graphs import small_graphs
 
 
-class TestDiskAdjacency:
-    def test_neighbors_match_memory(self, social):
-        with DiskAdjacency(social) as disk:
-            for v in range(0, social.n, 7):
-                assert disk.neighbors(v) == social.neighbors(v)
-
-    def test_reads_counted(self, k4):
-        with DiskAdjacency(k4) as disk:
-            disk.neighbors(0)
-            disk.neighbors(1)
-            assert disk.io.reads == 2
-            assert disk.io.ints_read == 6
-
-    def test_degree_is_free(self, k4):
-        with DiskAdjacency(k4) as disk:
-            assert disk.degree(2) == 3
-            assert disk.io.reads == 0  # in-memory index, no IO
-
-    def test_out_of_range(self, k4):
-        with DiskAdjacency(k4) as disk:
-            with pytest.raises(InvalidGraphError):
-                disk.neighbors(9)
-
-    def test_empty_adjacency(self):
-        g = Graph(3, [(0, 1)])
-        with DiskAdjacency(g) as disk:
-            assert disk.neighbors(2) == []
-
-    def test_file_removed_on_close(self, k4):
-        from pathlib import Path
-        disk = DiskAdjacency(k4)
-        path = Path(disk._file.name)
-        assert path.exists()
-        disk.close()
-        assert not path.exists()
-
+class TestIOStats:
     def test_snapshot_phases(self, k4):
-        with DiskAdjacency(k4) as disk:
+        with as_diskcsr(k4) as disk:
             disk.io.snapshot("a")
-            disk.neighbors(0)
+            assert disk.degree(2) == 3  # the O(|V|) indptr is in memory
             disk.io.snapshot("b")
-            assert disk.io.phase_delta("a", "b") == (1, 3)
+            assert disk.neighbors(0) == [1, 2, 3]
+            disk.io.snapshot("c")
+            assert disk.io.phase_delta("a", "b") == (0, 0)
+            assert disk.io.phase_delta("b", "c") == (1, 3)
 
 
 class TestSemiExternalCorrectness:
@@ -172,7 +140,5 @@ class TestHigherOrderIoClaim:
 @given(small_graphs(max_n=10))
 @settings(max_examples=25, deadline=None)
 def test_disk_view_equivalence_random(g):
-    with DiskAdjacency(g) as disk:
-        view = DiskVertexView(disk)
-        from repro.core.peeling import peel
-        assert peel(view).lam == core_numbers(g)
+    with as_diskcsr(g) as disk:
+        assert disk_core_peel(disk).lam == core_numbers(g)

@@ -7,9 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.analysis.density import NucleusReport, densest_nuclei, edge_density
 from repro.backends import (
@@ -321,16 +320,6 @@ class TestNodeStatistics:
         for min_vertices, limit in ((4, 20), (2, 1000), (10, 3)):
             assert densest_nuclei(decomposition, min_vertices, limit) == \
                 _densest_reference(decomposition, min_vertices, limit)
-
-    def test_densest_nuclei_without_numpy(self, parity_graph, monkeypatch):
-        import repro.flatindex
-
-        decomposition = _decompose(parity_graph, "object", 2, 3)
-        expected = _densest_reference(decomposition, 2, 1000)
-        monkeypatch.setattr(repro.flatindex, "np", None)
-        with pytest.raises(InvalidParameterError):
-            FlatHierarchyIndex(decomposition)  # the index itself needs numpy
-        assert densest_nuclei(decomposition, 2, 1000) == expected
 
 
 def _densest_reference(decomposition, min_vertices, limit):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.decomposition import nucleus_decomposition
 from repro.export import skeleton_to_dot, tree_to_dot
-from repro.external import DiskAdjacency
+from repro.external.diskcsr import as_diskcsr
 from repro.graph import generators
 from repro.queries import HierarchyIndex
 
@@ -46,10 +46,11 @@ class TestQueriesOn34:
 
 class TestDiskDirectory:
     def test_custom_directory(self, tmp_path, k4):
-        with DiskAdjacency(k4, directory=tmp_path) as disk:
+        target = tmp_path / "k4.diskcsr"
+        with as_diskcsr(k4, directory=target) as disk:
             assert disk.neighbors(0) == [1, 2, 3]
-            files = list(tmp_path.glob("repro-adj-*"))
-            assert len(files) == 1
+            assert list(tmp_path.iterdir()) == [target]
+            assert (target / "meta.json").exists()
 
 
 class TestGenericApiDispatch:

@@ -31,6 +31,8 @@ from repro.backends import (
     truss_peel,
 )
 from repro.core.csr_peel import (
+    _nucleus34_incidence_numpy,
+    _nucleus34_incidence_python,
     csr_core_peel,
     csr_nucleus34_peel,
     csr_truss_peel,
@@ -41,7 +43,8 @@ from repro.errors import InvalidParameterError
 from repro.graph import generators
 from repro.graph.csr import (
     CSRGraph,
-    csr_k4_triangle_ids,
+    _k4_triangle_ids_numpy,
+    _k4_triangle_ids_python,
     csr_triangle_edge_ids,
 )
 from repro.parallel import (
@@ -179,18 +182,28 @@ class TestKernels:
 # ---------------------------------------------------------------------------
 # vectorised K4 listing (the incidence set-up the workers shard)
 # ---------------------------------------------------------------------------
+def _both_sides_of_threshold(seed: int) -> list[CSRGraph]:
+    """A sparse random graph below the 256-edge listing threshold and a
+    denser one above it."""
+    small = random_csr(seed, max_n=40)
+    dense = as_backend(generators.erdos_renyi(50, 0.35, seed=seed), "csr")
+    assert small.m < 256 <= dense.m
+    return [small, dense]
+
+
 class TestVectorisedK4:
     @pytest.mark.parametrize("seed", range(6))
     def test_numpy_k4_equals_python(self, seed):
-        csr = random_csr(seed, max_n=40)
-        assert csr_k4_triangle_ids(csr, use_numpy=True) == \
-            csr_k4_triangle_ids(csr, use_numpy=False)
+        for csr in _both_sides_of_threshold(seed):
+            assert _k4_triangle_ids_numpy(csr) == _k4_triangle_ids_python(csr)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_numpy_incidence_equals_python(self, seed):
-        csr = random_csr(seed + 100, max_n=40)
-        assert nucleus34_incidence(csr, use_numpy=True) == \
-            nucleus34_incidence(csr, use_numpy=False)
+        for csr in _both_sides_of_threshold(seed + 100):
+            triangles, sup, ptr, comps = _nucleus34_incidence_numpy(csr)
+            assert (triangles, sup.tolist(), ptr.tolist(),
+                    tuple(c.tolist() for c in comps)) == \
+                _nucleus34_incidence_python(csr)
 
 
 # ---------------------------------------------------------------------------

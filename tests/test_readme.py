@@ -76,8 +76,6 @@ class TestBeyondPaperSnippet:
 
 class TestServingSnippet:
     def test_build_persist_serve(self, tmp_path):
-        import pytest
-        pytest.importorskip("numpy")
         graph = repro.generators.powerlaw_cluster(150, 5, 0.5, seed=4)
         index = repro.build_query_index(graph, 2, 3, backend="csr")
         answers = index.communities_of_vertex_batch(range(graph.n), 2)

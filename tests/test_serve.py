@@ -11,9 +11,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.backends import build_query_index, load_query_index
 from repro.errors import InvalidParameterError
